@@ -1,7 +1,8 @@
 (* E10 — Implementation performance (bechamel micro-benchmarks).
 
-   Wall-clock cost of the geometric primitives and of full executions,
-   plus two ablations that justify the fast paths:
+   Wall-clock cost of the geometric primitives, of full executions and
+   of grading one execution's history, plus two ablations that justify
+   the fast paths:
    - the 2-d Minkowski linear edge-merge vs quadratic pairwise-sum;
    - the d=3 L-operator (weighted Minkowski average) under the pre-PR
      brute-force pipeline (all-subsets facet sweep + per-point LP
@@ -87,6 +88,23 @@ let tests () =
     Chc.Config.make ~n:7 ~f:1 ~d:3 ~eps:(Q.of_ints 1 2) ~lo:Q.zero ~hi:Q.one
   in
   let spec7 = Chc.Executor.default_spec ~config:config7 ~seed:42 () in
+  (* The grading half of the n7-d3 execution, on one fixed history:
+     validity (every fault-free output inside the correct-input hull)
+     and the Theorem-3 check that I_Z lies in every recorded h_i[t]. *)
+  let graded7 = Chc.Executor.run spec7 in
+  let result7 = graded7.Chc.Executor.result in
+  let grade7 () =
+    let hull = graded7.Chc.Executor.correct_hull in
+    let valid =
+      Array.for_all
+        (function None -> true | Some h -> Polytope.subset h hull)
+        result7.Chc.Cc.outputs
+    in
+    valid
+    && Chc.Iz.contained_in_all_rounds ~config:config7
+      ~faulty:(Chc.Iz.excluded result7) ~result:result7
+  in
+  if not (grade7 ()) then failwith "e10: n7-d3 grading fixture is not optimal";
   (* d=3 L-operator instance: three hulls of 8 points each, the shape
      round t of Algorithm CC averages. *)
   let polys3 =
@@ -142,6 +160,13 @@ let tests () =
        enforces the win — a fallback-bound run (~1.3 s filtered)
        trips the 2.5x tolerance against the committed ~quarter-second
        baseline. *)
+    (* Cold like the execution entry: the memo tables and the dual
+       arena are flushed each run, so every distinct h_i[t] pays its
+       hull build and its facet tests. *)
+    Test.make ~name:"grade/optimality-n7-d3"
+      (Staged.stage (fun () ->
+           Parallel.Memo.clear_all ();
+           ignore (grade7 ())));
     Test.make ~name:"cc/full-execution-n7-d3"
       (Staged.stage (fun () ->
            Parallel.Memo.clear_all ();
@@ -204,12 +229,12 @@ let emit_json rows phases =
   | Error msg -> Printf.printf "  BENCH_E10.json NOT written: %s\n" msg
 
 (* The perf ratchet. When main passes [--baseline BENCH_E10.json]
-   (the committed numbers), every end-to-end execution and hullnd
-   kernel entry of this run is compared against it and the whole bench
-   run fails on a regression beyond [Util.bench_tolerance] (default
-   2.5x; CHC_BENCH_TOLERANCE overrides it for noisy runners). Only the
-   heavyweight entries are ratcheted — the sub-microsecond ones are
-   too noisy at the fast quota to gate a build on.
+   (the committed numbers), every end-to-end execution, grading and
+   hullnd kernel entry of this run is compared against it and the
+   whole bench run fails on a regression beyond [Util.bench_tolerance]
+   (default 2.5x; CHC_BENCH_TOLERANCE overrides it for noisy runners).
+   Only the heavyweight entries are ratcheted — the sub-microsecond
+   ones are too noisy at the fast quota to gate a build on.
 
    The committed file is this module's own [emit_json] output, one
    entry per line, so a line-oriented scan suffices; Codec.Json is
@@ -221,6 +246,7 @@ let contains ~sub s =
 
 let ratcheted name =
   contains ~sub:"full-execution" name || contains ~sub:"hullnd/" name
+  || contains ~sub:"grade/" name
 
 let parse_baseline path =
   let ic = open_in path in

@@ -18,7 +18,25 @@ let run () =
   in
   let spec = Executor.default_spec ~config ~seed:42 () in
   let trace = Obs.Trace.create () in
+  let facet_fallbacks () =
+    List.fold_left
+      (fun acc (s : Obs.Metrics.snapshot) ->
+         match s.Obs.Metrics.value with
+         | Obs.Metrics.Counter c
+           when s.Obs.Metrics.metric = "chc_poly_facet_fallback_total" ->
+           acc + c
+         | _ -> acc)
+      0 (Obs.Metrics.snapshot_all ())
+  in
+  let fallbacks0 = facet_fallbacks () in
   let r = Executor.run ~trace spec in
+  (* Every grading containment and projection query of a
+     full-dimensional d=3 run is answered from the hull's facets. *)
+  let fallbacks = facet_fallbacks () - fallbacks0 in
+  Printf.printf "  facet-path fallbacks (LP / vertex-subset enumeration): %d\n"
+    fallbacks;
+  if fallbacks <> 0 then
+    failwith "smoke3d: a d=3 grading query left the facet path";
   Printf.printf
     "  smoke3d (n=6 f=1 d=3): terminated=%b valid=%b eps-agree=%b optimal=%b\n"
     r.Executor.terminated r.Executor.valid r.Executor.agreement_ok

@@ -133,13 +133,13 @@ let run_graded ?trace spec =
   in
   (* A process that crashed but recovered must behave like a correct
      (slow) process: the paper properties are graded over the
-     fault-free *and* recovered processes. The Iz / optimality checks
-     below keep the plan-based faulty set — the containment argument
-     is about which inputs the adversary controls, and a recovered
-     process's input was never adversarial. *)
+     fault-free *and* recovered processes. *)
   let recovered =
     List.filter (fun i -> result.Cc.recovered.(i)) (List.init n Fun.id)
   in
+  (* The optimality witness follows the processes whose h[0] could
+     reach another process (see Iz.excluded), not the crash plan. *)
+  let outside_z = Iz.excluded result in
   let graded = List.sort compare (fault_free @ recovered) in
   let decision_stable = result.Cc.redecided = [] in
   let grade name f =
@@ -185,10 +185,12 @@ let run_graded ?trace spec =
     | None -> terminated
     | Some a2 -> Q.lt a2 (Q.square config.Config.eps)
   in
-  let iz = grade "iz" @@ fun () -> Iz.compute ~config ~faulty ~result in
+  let iz =
+    grade "iz" @@ fun () -> Iz.compute ~config ~faulty:outside_z ~result
+  in
   let optimal =
     grade "iz" @@ fun () ->
-    Iz.contained_in_all_rounds ~config ~faulty ~result
+    Iz.contained_in_all_rounds ~config ~faulty:outside_z ~result
   in
   let min_output_volume =
     grade "volume" @@ fun () ->

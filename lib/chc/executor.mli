@@ -15,8 +15,11 @@
     graded over the fault-free {e and recovered} processes — a
     recovered process must behave like a correct slow one — plus a
     {b decision stability} check: no process may change a decision it
-    already externalized. Optimality keeps the plan-based faulty set
-    (it reasons about which inputs the adversary controlled). *)
+    already externalized. Optimality builds [Z] from the views of
+    every process but {!Iz.excluded} (the paper's [F[1]] and recovered
+    processes), not from the crash plan: a planned crash that never
+    fires, or fires after round 1, leaves a process whose view may
+    bound [Z]. *)
 
 module Q = Numeric.Q
 

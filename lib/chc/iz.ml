@@ -13,6 +13,12 @@ let stable_views ~faulty ~(result : Cc.result) =
         invalid_arg
           (Printf.sprintf "Iz.compute: fault-free process %d has no view" i))
 
+let excluded (result : Cc.result) =
+  let sent_round1 i = List.assoc_opt 1 result.Cc.sent_round.(i) = Some true in
+  List.init (Array.length result.Cc.crashed) Fun.id
+  |> List.filter (fun i ->
+      result.Cc.recovered.(i) || (result.Cc.crashed.(i) && not (sent_round1 i)))
+
 let compute ~config ~faulty ~result =
   let views = stable_views ~faulty ~result in
   (* Z: entries present in every fault-free view (keyed by origin — in
@@ -37,16 +43,23 @@ let compute ~config ~faulty ~result =
       Polytope.intersect hulls
     end
 
+(* Once ε-agreement sets in, the fault-free processes' h_i[t] coincide
+   round over round, so most of the n_ff × t_end history entries repeat
+   one of a few polytopes; each distinct one is checked once. *)
+module Seen = Hashtbl.Make (Polytope)
+
 let contained_in_all_rounds ~config ~faulty ~result =
   match compute ~config ~faulty ~result with
   | None -> false
   | Some iz ->
-    let ok = ref true in
-    Array.iteri
-      (fun i hist ->
-         if not (List.mem i faulty) then
-           List.iter
-             (fun (_t, h) -> if not (Polytope.subset iz h) then ok := false)
-             hist)
-      result.Cc.history;
-    !ok
+    let seen = Seen.create 64 in
+    let check h =
+      Seen.mem seen h
+      || (Polytope.subset iz h && (Seen.add seen h (); true))
+    in
+    let n = Array.length result.Cc.history in
+    List.for_all
+      (fun i ->
+         List.mem i faulty
+         || List.for_all (fun (_t, h) -> check h) result.Cc.history.(i))
+      (List.init n Fun.id)

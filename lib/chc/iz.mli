@@ -19,6 +19,15 @@
 
 module Q = Numeric.Q
 
+val excluded : Cc.result -> int list
+(** The processes whose stable views stay out of [Z]: those that
+    crashed before any round-1 message left them (the paper's [F[1]]),
+    and recovered processes. Every other process — a plan-faulty one
+    whose crash never fired, or fired only after round 1, included —
+    may hold the smallest view, and its [h[0]] feeds the others'
+    averages, so its view must bound [Z]. The executor grades
+    optimality with this set. *)
+
 val compute :
   config:Config.t ->
   faulty:int list ->

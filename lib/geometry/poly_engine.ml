@@ -144,6 +144,23 @@ let fallback_isect_c =
   Obs.Metrics.counter "chc_poly_fallback_total"
     ~labels:[ ("stage", "intersect") ]
 
+(* Grading queries (containment, projection) answered by the LP or
+   vertex-subset enumeration instead of the facets of a known dual. *)
+let facet_fallback_contains_c =
+  Obs.Metrics.counter "chc_poly_facet_fallback_total"
+    ~help:"d=3 containment and projection queries answered by LP or \
+           vertex-subset enumeration instead of the hull's facets \
+           (lower-dimensional hull or failed projection certificate)"
+    ~labels:[ ("query", "contains") ]
+
+let facet_fallback_project_c =
+  Obs.Metrics.counter "chc_poly_facet_fallback_total"
+    ~labels:[ ("query", "project") ]
+
+let note_fallback = function
+  | `Contains -> Obs.Metrics.incr facet_fallback_contains_c
+  | `Project -> Obs.Metrics.incr facet_fallback_project_c
+
 let isect_fast_c =
   Obs.Metrics.counter "chc_poly_intersect_total"
     ~help:"intersection vertex enumerations answered by the \
@@ -855,6 +872,14 @@ let merge d extra =
   end
 
 let insert_point d p = merge d [ p ]
+
+(* Membership against the certified facet planes: the planes hold for
+   the scaled points, so the query is scaled the same way. *)
+let mem d =
+  let l = Q.of_bigint d.scale in
+  fun x ->
+    let y = Vec.scale l x in
+    List.for_all (fun (a, b) -> Filter.sign_of_dot_minus a y b <= 0) d.facets
 
 (* ------------------------------------------------------------------ *)
 (* Vertex extraction against a known facet list (same tight-rank test

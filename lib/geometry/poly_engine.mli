@@ -83,6 +83,16 @@ val dual_3d : Vec.t list -> rebuild:(unit -> dual option) -> dual option
     the input is lower-dimensional or otherwise out of scope — the
     caller keeps its exact handling. *)
 
+val mem : dual -> Vec.t -> bool
+(** [mem d x]: is [x] in conv(pts(d))? Exact: [x] scaled by [d.scale]
+    must satisfy every facet plane. Partial application ([mem d])
+    hoists the scale conversion out of a batch of queries. *)
+
+val note_fallback : [ `Contains | `Project ] -> unit
+(** Count one 3-d containment or projection query answered by the LP
+    or vertex-subset enumeration rather than the facets of a dual
+    ([chc_poly_facet_fallback_total{query}]). *)
+
 (** {1 Delta operations} *)
 
 val insert_point : dual -> Vec.t -> dual option

@@ -90,16 +90,29 @@ let equal p q =
   && List.length p.verts = List.length q.verts
   && List.for_all2 Vec.equal p.verts q.verts
 
-let contains p x =
+let hash p = verts_hash p.verts
+
+(* [contains p] sets up once per batch of queries. At d = 3 it tests
+   the engine dual's certified facet planes; hulls without a dual
+   (lower-dimensional ones) and d >= 4 solve one exact LP per query. *)
+let contains p =
   match p.dim with
   | 1 ->
     (match p.verts with
-     | [a] -> Q.equal x.(0) a.(0)
+     | [a] -> fun x -> Q.equal x.(0) a.(0)
      | [a; b] ->
-       Filter.compare a.(0) x.(0) <= 0 && Filter.compare x.(0) b.(0) <= 0
+       fun x ->
+         Filter.compare a.(0) x.(0) <= 0 && Filter.compare x.(0) b.(0) <= 0
      | _ -> assert false)
-  | 2 -> Hull2d.contains p.verts x
-  | _ -> Lp.in_convex_hull p.verts x
+  | 2 -> Hull2d.contains p.verts
+  | 3 ->
+    (match Hullnd.dual_3d p.verts with
+     | Some d -> Poly_engine.mem d
+     | None ->
+       fun x ->
+         Poly_engine.note_fallback `Contains;
+         Lp.in_convex_hull p.verts x)
+  | _ -> Lp.in_convex_hull p.verts
 
 let subset p q =
   if p.dim <> q.dim then invalid_arg "Polytope.subset: dimension mismatch"

@@ -36,9 +36,21 @@ val dim : t -> int
 (** {1 Predicates} *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash consistent with {!equal}, for tables of polytopes. *)
+
 val contains : t -> Vec.t -> bool
+(** Exact membership. At d = 3 a full-dimensional polytope is tested
+    against the certified facet planes of its {!Hullnd.dual_3d} dual;
+    a lower-dimensional one (no dual) and d >= 4 solve an exact LP per
+    query, counted at d = 3 in
+    [chc_poly_facet_fallback_total{query="contains"}]. The partial
+    application [contains p] does the per-polytope set-up once. *)
+
 val subset : t -> t -> bool
-(** [subset p q]: is [p ⊆ q]? Exact. *)
+(** [subset p q]: is [p ⊆ q]? Exact: every vertex of [p] through
+    [contains q]. *)
 
 val is_point : t -> bool
 

@@ -620,7 +620,10 @@ let to_float_enclosure = function
       { Interval.lo = neg_infinity; hi = -0.5 *. max_float }
     else begin
       let k = float_of_int (4 * (Array.length b.mag + 1)) in
-      let pad = Float.abs f *. k *. epsilon_float in
+      (* k·eps first: |f|·k overflows for values within a factor k
+         of max_float, which would widen the enclosure to the whole
+         line and flip the sign of a quotient enclosure. *)
+      let pad = Float.abs f *. (k *. epsilon_float) in
       { Interval.lo = Float.pred (f -. pad); hi = Float.succ (f +. pad) }
     end
 

@@ -158,6 +158,30 @@ let test_output_contains_iz_strictly_useful () =
    | Some v -> Alcotest.(check bool) "positive volume" true (Q.sign v > 0)
    | None -> Alcotest.fail "no volume")
 
+(* Regressions for the optimality witness. In both scenarios process 0
+   is plan-faulty and holds the smallest stable view; its h[0] reaches
+   the others in round 1, so its view must bound Z. Leaving it out grew
+   I_Z past every h_i[t] — a false optimality failure.
+   - seed 39384 (eps 1/10): the planned crash never fires; I_Z became
+     [127/250, 309/500] ([chc_sim run -n 4 -f 1 -d 1 --seed 39384]).
+   - seed 81082 (eps 1/4): the crash fires, but only after round 1. *)
+let test_iz_views_of_round1_senders () =
+  let run ~eps ~seed =
+    let config = cfg ~eps ~n:4 ~f:1 ~d:1 () in
+    Executor.run (Executor.default_spec ~config ~seed ())
+  in
+  let r = run ~eps:(Q.of_ints 1 10) ~seed:39384 in
+  Alcotest.(check (list int)) "plan-faulty set" [ 0 ] r.Executor.faulty;
+  Alcotest.(check bool) "the planned crash never fired" false
+    r.Executor.result.Cc.crashed.(0);
+  check_report r;
+  let r = run ~eps:(Q.of_ints 1 4) ~seed:81082 in
+  Alcotest.(check bool) "process 0 crashed" true
+    r.Executor.result.Cc.crashed.(0);
+  Alcotest.(check (option bool)) "after sending round 1" (Some true)
+    (List.assoc_opt 1 r.Executor.result.Cc.sent_round.(0));
+  check_report r
+
 (* --- randomized sweeps ----------------------------------------------- *)
 
 let sweep ~name ~count gen_params =
@@ -220,4 +244,6 @@ let suite =
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "positive-volume outputs" `Quick
           test_output_contains_iz_strictly_useful ]
-      @ List.map Gen.qtest [ prop_sweep_2d; prop_sweep_1d; prop_schedulers ] ) ]
+      @ List.map Gen.qtest [ prop_sweep_2d; prop_sweep_1d; prop_schedulers ]
+      @ [ Alcotest.test_case "round-1 senders' views bound Z" `Quick
+            test_iz_views_of_round1_senders ] ) ]

@@ -130,6 +130,21 @@ let test_adversarial_units () =
   Alcotest.(check int) "dot tiny below" (-1)
     (filtered (fun () -> Filter.sign_of_dot_minus a p (Q.add dot tiny)))
 
+(* A denominator within the limb padding's factor of max_float: its
+   padded enclosure must stay finite on the low side, or the quotient
+   enclosure collapses to ±0 and 2^1015/(2^1020+1) (about 1/32)
+   compares below 1/64. *)
+let test_wide_operands () =
+  let p k = Q.pow Q.two k in
+  let a = Q.div (p 1015) (Q.add (p 1020) Q.one) in
+  let b = Q.of_ints 1 64 in
+  Alcotest.(check int) "wide quotient vs 1/64" 1
+    (filtered (fun () -> Q.compare a b));
+  Alcotest.(check int) "1/64 vs wide quotient" (-1)
+    (filtered (fun () -> Q.compare b a));
+  Alcotest.(check int) "sign of wide quotient minus 1/64" 1
+    (filtered (fun () -> Filter.sign_of_dot_minus [| a |] [| Q.one |] b))
+
 (* Transcript invariance: same scenario, both kernels, memo bypassed —
    byte-identical event streams and equal decisions. *)
 let test_transcript_invariance () =
@@ -189,4 +204,6 @@ let suite =
           test_transcript_invariance;
         Alcotest.test_case "kernel-equivalence oracle" `Quick
           test_oracle_kernel_equivalence ]
-      @ List.map Gen.qtest props ) ]
+      @ List.map Gen.qtest props
+      @ [ Alcotest.test_case "operands near the float range" `Quick
+            test_wide_operands ] ) ]
