@@ -3,7 +3,9 @@
    Wall-clock cost of the geometric primitives, of full executions and
    of grading one execution's history, plus two ablations that justify
    the fast paths:
-   - the 2-d Minkowski linear edge-merge vs quadratic pairwise-sum;
+   - the 2-d Minkowski linear edge-merge vs quadratic pairwise-sum,
+     and the k-way round average on the five operands of a real n6-d2
+     round;
    - the d=3 L-operator (weighted Minkowski average) under the pre-PR
      brute-force pipeline (all-subsets facet sweep + per-point LP
      pruning) vs the incremental beneath-beyond kernel, with and
@@ -105,6 +107,27 @@ let tests () =
       ~faulty:(Chc.Iz.excluded result7) ~result:result7
   in
   if not (grade7 ()) then failwith "e10: n7-d3 grading fixture is not optimal";
+  (* The round average as Algorithm CC computes it: the five operands
+     h_j[0] that process 1 of an n6-d2 execution averages in round 1.
+     Most n6-d2 executions give every process the same round-0 view,
+     so their rounds average five copies of one polygon; in this one
+     the faulty process crashes mid-broadcast, splitting the views, and
+     the five operands are two distinct polygons (4 and 6 vertices). *)
+  let polys5 =
+    let config6 =
+      Chc.Config.make ~n:6 ~f:1 ~d:2 ~eps:(Q.of_ints 1 2) ~lo:Q.zero ~hi:Q.one
+    in
+    let spec6 =
+      Chc.Executor.default_spec ~config:config6 ~seed:8 ~ensure_crash:true
+        ~max_budget:8 ()
+    in
+    let res = (Chc.Executor.run spec6).Chc.Executor.result in
+    let senders = List.assoc 1 res.Chc.Cc.senders.(1) in
+    List.map (fun j -> List.assoc 0 res.Chc.Cc.history.(j)) senders
+  in
+  (match polys5 with
+   | [p; _; _; _; _] when not (List.for_all (Polytope.equal p) polys5) -> ()
+   | _ -> failwith "e10: the n6-d2 round-1 fixture is not five distinct-view operands");
   (* d=3 L-operator instance: three hulls of 8 points each, the shape
      round t of Algorithm CC averages. *)
   let polys3 =
@@ -124,6 +147,8 @@ let tests () =
       (Staged.stage (fun () -> ignore (Hull2d.hull pts100)));
     Test.make ~name:"minkowski/edge-merge"
       (Staged.stage (fun () -> ignore (Hull2d.minkowski_sum polyA polyB)));
+    Test.make ~name:"minkowski/average-k5-d2"
+      (Staged.stage (fun () -> ignore (Polytope.average polys5)));
     Test.make ~name:"minkowski/pairwise-naive"
       (Staged.stage (fun () ->
            ignore
@@ -229,10 +254,11 @@ let emit_json rows phases =
   | Error msg -> Printf.printf "  BENCH_E10.json NOT written: %s\n" msg
 
 (* The perf ratchet. When main passes [--baseline BENCH_E10.json]
-   (the committed numbers), every end-to-end execution, grading and
-   hullnd kernel entry of this run is compared against it and the
-   whole bench run fails on a regression beyond [Util.bench_tolerance]
-   (default 2.5x; CHC_BENCH_TOLERANCE overrides it for noisy runners).
+   (the committed numbers), every end-to-end execution, grading,
+   hullnd kernel and 2-d round-average entry of this run is compared
+   against it and the whole bench run fails on a regression beyond
+   [Util.bench_tolerance] (default 2.5x; CHC_BENCH_TOLERANCE overrides
+   it for noisy runners).
    Only the heavyweight entries are ratcheted — the sub-microsecond
    ones are too noisy at the fast quota to gate a build on.
 
@@ -246,7 +272,7 @@ let contains ~sub s =
 
 let ratcheted name =
   contains ~sub:"full-execution" name || contains ~sub:"hullnd/" name
-  || contains ~sub:"grade/" name
+  || contains ~sub:"grade/" name || contains ~sub:"minkowski/average" name
 
 let parse_baseline path =
   let ic = open_in path in

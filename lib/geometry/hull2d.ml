@@ -22,26 +22,25 @@ let hull pts =
   match pts with
   | [] | [_] | [_; _] -> pts
   | _ ->
-    (* Build a chain over [side]; the returned list is in traversal
-       order. Pops while the last turn is not strictly CCW. *)
+    (* Build a chain over [side]; the returned stack holds the chain
+       last point first. Pops while the last turn is not strictly
+       CCW. *)
     let chain side =
-      let stack =
-        List.fold_left
-          (fun stack p ->
-             let rec pop = function
-               | b :: a :: rest when Filter.sign_cross2 a b p <= 0 ->
-                 pop (a :: rest)
-               | s -> s
-             in
-             p :: pop stack)
-          [] side
-      in
-      List.rev stack
+      List.fold_left
+        (fun stack p ->
+           let rec pop = function
+             | b :: a :: rest when Filter.sign_cross2 a b p <= 0 ->
+               pop (a :: rest)
+             | s -> s
+           in
+           p :: pop stack)
+        [] side
     in
-    let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l in
-    let lower = chain pts in
-    let upper = chain (List.rev pts) in
-    let ccw = drop_last lower @ drop_last upper in
+    (* Each chain's last point starts the other chain: drop it, and
+       put both in traversal order. *)
+    let lower = List.tl (chain pts) in
+    let upper = List.tl (chain (List.rev pts)) in
+    let ccw = List.rev_append lower (List.rev upper) in
     (match ccw with
      | [] | [_] | [_; _] ->
        (* All points collinear: the hull is the extreme segment. *)
@@ -158,76 +157,132 @@ let intersect p q =
          match acc with [] -> [] | _ -> clip acc ~normal ~offset)
       larger (halfplanes smaller)
 
-(* --- Minkowski sum --------------------------------------------------- *)
+(* --- Weighted Minkowski sums ------------------------------------------ *)
 
-let translate v poly = List.map (Vec.add v) poly
+module B = Numeric.Bigint
 
-let pairwise_sum p q =
-  hull (List.concat_map (fun a -> List.map (Vec.add a) q) p)
+(* An operand edge on the integer grid, tagged with its half-turn: 0
+   for angles in [0, π), 1 for [π, 2π). *)
+type edge = { half : int; ex : B.t; ey : B.t }
 
-(* Rotate a CCW polygon so it starts at its bottom-most (then
-   left-most) vertex. *)
-let rotate_to_bottom poly =
-  let arr = Array.of_list poly in
-  let n = Array.length arr in
-  let key v = (v.(1), v.(0)) in
-  let lt a b =
-    let (ay, ax) = key a and (by, bx) = key b in
-    let c = Q.compare ay by in
-    if c <> 0 then c < 0 else Q.compare ax bx < 0
-  in
-  let best = ref 0 in
-  for i = 1 to n - 1 do
-    if lt arr.(i) arr.(!best) then best := i
-  done;
-  List.init n (fun i -> arr.((i + !best) mod n))
+let edge ex ey =
+  let sy = B.sign ey in
+  { half = (if sy > 0 || (sy = 0 && B.sign ex > 0) then 0 else 1); ex; ey }
 
-(* Angular comparison of edge vectors over the full turn [0, 2π),
-   implemented with the half-plane trick so only exact signs are used. *)
-let angle_half v =
-  (* 0 for angles in [0, π), 1 for [π, 2π). *)
-  let sy = Q.sign v.(1) in
-  if sy > 0 || (sy = 0 && Q.sign v.(0) > 0) then 0 else 1
-
+(* Angular order over the full turn [0, 2π): half-turn first, then the
+   exact integer cross product (u before v iff u × v > 0). Parallel
+   edges tie — the common case, since every edge direction of a round
+   polygon is an edge direction of some round-0 polygon — and an
+   integer product decides a tie as cheaply as any other sign. *)
 let angle_compare u v =
-  let hu = angle_half u and hv = angle_half v in
-  if hu <> hv then compare hu hv
-  else
-    (* positive cross (u before v) sorts u first *)
-    - (Filter.sign_cross2o u v)
+  if u.half <> v.half then compare u.half v.half
+  else B.compare (B.mul u.ey v.ex) (B.mul u.ex v.ey)
 
-let edges poly =
-  let arr = Array.of_list poly in
-  let n = Array.length arr in
-  List.init n (fun i -> Vec.sub arr.((i + 1) mod n) arr.(i))
+(* One operand on the grid: its bottom-most (then left-most) vertex
+   and its CCW edge cycle from there, both times the integer weight.
+   From the bottom vertex the edge angles increase through [0, 2π), so
+   every operand's edge array is already in merge order. A point has
+   no edges; a segment has its two opposite edges. *)
+type operand = { bottom : B.t * B.t; edges : edge array }
 
-let edge_merge p q =
-  let p = rotate_to_bottom p and q = rotate_to_bottom q in
-  let ep = Array.of_list (edges p) and eq = Array.of_list (edges q) in
-  let start = Vec.add (List.hd p) (List.hd q) in
-  let np = Array.length ep and nq = Array.length eq in
-  let verts = ref [start] in
-  let cur = ref start in
-  let i = ref 0 and j = ref 0 in
-  while !i < np || !j < nq do
-    let step e = cur := Vec.add !cur e; verts := !cur :: !verts in
-    if !i >= np then begin step eq.(!j); incr j end
-    else if !j >= nq then begin step ep.(!i); incr i end
-    else begin
-      let c = angle_compare ep.(!i) eq.(!j) in
-      if c < 0 then begin step ep.(!i); incr i end
-      else if c > 0 then begin step eq.(!j); incr j end
-      else begin step (Vec.add ep.(!i) eq.(!j)); incr i; incr j end
-    end
+let operand w (vs : (B.t * B.t) array) =
+  let n = Array.length vs in
+  let b = ref 0 in
+  for i = 1 to n - 1 do
+    let (x, y) = vs.(i) and (bx, by) = vs.(!b) in
+    let c = B.compare y by in
+    if c < 0 || (c = 0 && B.compare x bx < 0) then b := i
   done;
-  (* The walk returns to the start; canonicalize (cheap: ≤ np+nq+1
-     points, already convex). *)
-  hull !verts
+  let mulw v = if B.equal w B.one then v else B.mul w v in
+  let (bx, by) = vs.(!b) in
+  let edges =
+    if n = 1 then [||]
+    else
+      Array.init n (fun j ->
+          let (x0, y0) = vs.((!b + j) mod n)
+          and (x1, y1) = vs.((!b + j + 1) mod n) in
+          edge (mulw (B.sub x1 x0)) (mulw (B.sub y1 y0)))
+  in
+  { bottom = (mulw bx, mulw by); edges }
 
-let minkowski_sum p q =
-  match p, q with
-  | [], _ | _, [] -> []
-  | [a], poly | poly, [a] -> translate a poly
-  | _ ->
-    if List.length p >= 3 && List.length q >= 3 then edge_merge p q
-    else pairwise_sum p q
+(* The k-way merge: walk from the sum of the bottom vertices, each
+   step taking the angularly smallest head edge and summing every head
+   that points the same way. Merged directions strictly increase, so
+   the walk visits the vertices of the sum in CCW order; it closes back
+   at the start, which is not repeated. *)
+let merge ops =
+  let k = Array.length ops in
+  let start =
+    Array.fold_left
+      (fun (sx, sy) { bottom = (bx, by); _ } -> (B.add sx bx, B.add sy by))
+      (B.zero, B.zero) ops
+  in
+  let pos = Array.make k 0 and ties = Array.make k 0 in
+  let head i = ops.(i).edges.(pos.(i)) in
+  let rec walk (cx, cy) acc =
+    let nt = ref 0 in
+    for i = 0 to k - 1 do
+      if pos.(i) < Array.length ops.(i).edges then begin
+        let c = if !nt = 0 then -1 else angle_compare (head i) (head ties.(0)) in
+        if c < 0 then begin ties.(0) <- i; nt := 1 end
+        else if c = 0 then begin ties.(!nt) <- i; incr nt end
+      end
+    done;
+    if !nt = 0 then acc
+    else begin
+      let x = ref cx and y = ref cy in
+      for t = 0 to !nt - 1 do
+        let e = head ties.(t) in
+        x := B.add !x e.ex;
+        y := B.add !y e.ey;
+        pos.(ties.(t)) <- pos.(ties.(t)) + 1
+      done;
+      walk (!x, !y) ((!x, !y) :: acc)
+    end
+  in
+  match walk start [] with
+  | [] -> [| start |]
+  | _ :: rest -> Array.of_list (start :: List.rev rest)
+
+let lcm a b = B.mul (B.div a (B.gcd a b)) b
+
+let weighted_sum terms =
+  if List.exists (fun (_, p) -> p = []) terms then []
+  else
+    match List.filter (fun (c, _) -> not (Q.is_zero c)) terms with
+    | [] -> [Vec.zero 2]
+    | terms ->
+      (* Integer weights c_i·D over the weights' common denominator D,
+         and integer vertices on the grid of denominator L: the sum is
+         Σ (c_i·D)·(L·v_i) / (D·L). *)
+      let dw = List.fold_left (fun acc (c, _) -> lcm acc c.Q.den) B.one terms in
+      let scaled, l = Numeric.Grid.scale_points (List.concat_map snd terms) in
+      let scaled = Array.of_list scaled in
+      let _, ops =
+        List.fold_left
+          (fun (off, ops) (c, p) ->
+             let vs =
+               Array.init (List.length p) (fun j ->
+                   let v = scaled.(off + j) in
+                   (v.(0).Q.num, v.(1).Q.num))
+             in
+             let w = B.mul c.Q.num (B.div dw c.Q.den) in
+             (off + Array.length vs, operand w vs :: ops))
+          (0, []) terms
+      in
+      let verts = merge (Array.of_list (List.rev ops)) in
+      (* Canonical form: rotate to the lex-smallest vertex, then divide
+         by D·L once. *)
+      let m = Array.length verts in
+      let lo = ref 0 in
+      for i = 1 to m - 1 do
+        let (x, y) = verts.(i) and (lx, ly) = verts.(!lo) in
+        let c = B.compare x lx in
+        if c < 0 || (c = 0 && B.compare y ly < 0) then lo := i
+      done;
+      let den = B.mul dw l in
+      List.init m (fun i ->
+          let (x, y) = verts.((i + !lo) mod m) in
+          Vec.make [Q.make x den; Q.make y den])
+
+let minkowski_sum p q = weighted_sum [(Q.one, p); (Q.one, q)]

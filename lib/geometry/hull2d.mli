@@ -35,9 +35,23 @@ val clip : Vec.t list -> normal:Vec.t -> offset:Q.t -> Vec.t list
 val intersect : Vec.t list -> Vec.t list -> Vec.t list
 (** Intersection of two convex polytopes, canonical. *)
 
+val weighted_sum : (Q.t * Vec.t list) list -> Vec.t list
+(** [weighted_sum [(c1, p1); …]] is the canonical [Σ ci·pi] for
+    weights [ci >= 0]: one k-way merge of the operands' edges by angle.
+    The operand vertices go onto one integer grid
+    ({!Numeric.Grid.scale_points}, the round grid when one is
+    installed), edges are multiplied by the integer weights [ci·D]
+    ([D] the weights' common denominator), runs of same-direction
+    edges are summed, the walk starts at the sum of the weighted
+    bottom-most vertices, and each vertex is divided by the grid
+    denominator times [D] once. Linear in the total edge count times
+    the operand count; never calls {!hull}. Points contribute no edges
+    and segments their two opposite edges; a zero-weight operand
+    contributes nothing. [[]] if any operand is empty; the origin when
+    every weight is zero. *)
+
 val minkowski_sum : Vec.t list -> Vec.t list -> Vec.t list
-(** Minkowski sum; uses the linear-time convex edge-merge when both
-    operands are genuine polygons, pairwise sums otherwise. *)
+(** Minkowski sum: [weighted_sum [(1, p); (1, q)]]. *)
 
 val halfplanes : Vec.t list -> (Vec.t * Q.t) list
 (** A complete H-representation [{x | n·x <= c}] of the polytope: edge

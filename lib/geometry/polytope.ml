@@ -66,7 +66,9 @@ let of_points ~dim pts =
         (fun q -> if Vec.dim q <> dim then
             invalid_arg "Polytope.of_points: inconsistent dimensions")
         pts;
-      if dim <= 2 then { dim; verts = canonicalize ~dim pts }
+      if dim <= 2 then
+        Obs.Prof.with_span "geometry.hull" (fun () ->
+            { dim; verts = canonicalize ~dim pts })
       else begin
         let canon = Hullnd.dedupe_points pts in
         let verts =
@@ -121,40 +123,35 @@ let subset p q =
 (* ------------------------------------------------------------------ *)
 (* The paper's L operator: weighted Minkowski sum. *)
 
+(* d >= 3: positive scaling preserves extremeness and (uniform per
+   coordinate) the lexicographic vertex order, so the canonical
+   V-representation maps through directly — no hull recompute. *)
 let scale_poly c p =
   if Q.is_zero c then { dim = p.dim; verts = [Vec.zero p.dim] }
-  else if p.dim >= 3 then
-    (* Positive scaling preserves extremeness and (uniform per
-       coordinate) the lexicographic vertex order, so the canonical
-       V-representation maps through directly — no hull recompute. *)
-    { dim = p.dim; verts = List.map (Vec.scale c) p.verts }
-  else
-    { dim = p.dim; verts = canonicalize ~dim:p.dim (List.map (Vec.scale c) p.verts) }
+  else { dim = p.dim; verts = List.map (Vec.scale c) p.verts }
 
 let minkowski_pair a b =
-  match a.dim with
-  | 1 ->
-    (match a.verts, b.verts with
-     | (la :: _), (lb :: _) ->
-       let ha = List.nth a.verts (List.length a.verts - 1) in
-       let hb = List.nth b.verts (List.length b.verts - 1) in
-       { dim = 1;
-         verts = canon_1d [Vec.add la lb; Vec.add ha hb] }
-     | _ -> assert false)
-  | 2 -> { dim = 2; verts = Hull2d.minkowski_sum a.verts b.verts }
-  | d ->
-    let verts =
-      Parallel.Memo.find_or_add mink_memo (a.verts, b.verts)
-        (fun () ->
-           Obs.Prof.with_span "geometry.minkowski" (fun () ->
-               let sums =
-                 Obs.Prof.with_span "mink.sums" (fun () ->
-                 List.concat_map (fun u -> List.map (Vec.add u) b.verts) a.verts)
-               in
-               Obs.Prof.with_span "mink.canon" (fun () ->
-               canonicalize ~dim:d sums)))
-    in
-    { dim = d; verts }
+  let d = a.dim in
+  let verts =
+    Parallel.Memo.find_or_add mink_memo (a.verts, b.verts)
+      (fun () ->
+         Obs.Prof.with_span "geometry.minkowski" (fun () ->
+             let sums =
+               Obs.Prof.with_span "mink.sums" (fun () ->
+               List.concat_map (fun u -> List.map (Vec.add u) b.verts) a.verts)
+             in
+             Obs.Prof.with_span "mink.canon" (fun () ->
+             canonicalize ~dim:d sums)))
+  in
+  { dim = d; verts }
+
+(* d = 1: the interval [Σ c_i·lo_i, Σ c_i·hi_i]. *)
+let combination_1d terms =
+  let ends pick =
+    Q.sum (List.map (fun (c, p) -> Q.mul c (pick p.verts).(0)) terms)
+  in
+  let lo = ends List.hd and hi = ends (fun vs -> List.nth vs (List.length vs - 1)) in
+  if Q.equal lo hi then [Vec.make [lo]] else [Vec.make [lo]; Vec.make [hi]]
 
 let linear_combination terms =
   match terms with
@@ -171,18 +168,27 @@ let linear_combination terms =
     let total = Numeric.Q.sum (List.map fst terms) in
     if not (Q.equal total Q.one) then
       invalid_arg "Polytope.linear_combination: weights must sum to 1";
-    let scaled = List.map (fun (c, p) -> scale_poly c p) terms in
-    (* Standalone combinations share a grid across the Minkowski
-       chain: every partial sum's denominators divide the lcm of the
-       scaled vertices'. Under the executor this is a no-op — the
-       round grid is already installed. *)
-    Numeric.Grid.ensure_round
-      (fun () ->
-         Numeric.Grid.make (List.concat_map (fun p -> p.verts) scaled))
-      (fun () ->
-         match scaled with
-         | [] -> assert false
-         | first :: rest -> List.fold_left minkowski_pair first rest)
+    if d <= 2 then
+      Obs.Prof.with_span "geometry.minkowski" (fun () ->
+          let verts =
+            if d = 1 then combination_1d terms
+            else Hull2d.weighted_sum (List.map (fun (c, p) -> (c, p.verts)) terms)
+          in
+          { dim = d; verts })
+    else begin
+      let scaled = List.map (fun (c, p) -> scale_poly c p) terms in
+      (* Standalone combinations share a grid across the Minkowski
+         chain: every partial sum's denominators divide the lcm of the
+         scaled vertices'. Under the executor this is a no-op — the
+         round grid is already installed. *)
+      Numeric.Grid.ensure_round
+        (fun () ->
+           Numeric.Grid.make (List.concat_map (fun p -> p.verts) scaled))
+        (fun () ->
+           match scaled with
+           | [] -> assert false
+           | first :: rest -> List.fold_left minkowski_pair first rest)
+    end
 
 let average polys =
   match polys with
@@ -221,19 +227,20 @@ let intersect polys =
           invalid_arg "Polytope.intersect: dimension mismatch")
       rest;
     (match d with
-     | 1 -> intersect_1d polys
+     | 1 -> Obs.Prof.with_span "geometry.intersect" (fun () -> intersect_1d polys)
      | 2 ->
-       let result =
-         List.fold_left
-           (fun acc p ->
-              match acc with
-              | [] -> []
-              | _ -> Hull2d.intersect acc p.verts)
-           first.verts rest
-       in
-       (match result with
-        | [] -> None
-        | verts -> Some { dim = 2; verts })
+       Obs.Prof.with_span "geometry.intersect" (fun () ->
+           let result =
+             List.fold_left
+               (fun acc p ->
+                  match acc with
+                  | [] -> []
+                  | _ -> Hull2d.intersect acc p.verts)
+               first.verts rest
+           in
+           match result with
+           | [] -> None
+           | verts -> Some { dim = 2; verts })
      | _ ->
        let key = (d, List.map (fun p -> p.verts) polys) in
        let verts =

@@ -60,6 +60,12 @@ val linear_combination : (Q.t * t) list -> t
 (** The paper's function [L]: the set
     [{Σ ci·pi | pi ∈ hi}] for weights [ci ≥ 0, Σci = 1] — equivalently
     the Minkowski sum of the scaled polytopes.
+
+    At d = 1 it is the interval [[Σ ci·loi, Σ ci·hii]]. At d = 2 it is
+    one k-way edge merge on the round's integer grid
+    ({!Hull2d.weighted_sum}); no hull is recomputed. Both run in one
+    [geometry.minkowski] profiler span per call. At d ≥ 3 the scaled
+    polytopes are folded through memoized pairwise sums.
     @raise Invalid_argument if weights are negative or do not sum
     to 1, or on the empty list. *)
 

@@ -106,28 +106,6 @@ let sign_cross2 o a b =
     | None -> slow Kernel.Cross (fun () -> exact_cross2 o a b)
   end
 
-let exact_cross2o u v =
-  Q.sign (Q.sub (Q.mul u.(0) v.(1)) (Q.mul u.(1) v.(0)))
-
-(* sign(u x v) for edge vectors already based at the origin. *)
-let sign_cross2o u v =
-  if Kernel.staged () then begin
-    match Grid.cross2o_sign u v with
-    | Some s -> Kernel.int_hit Kernel.Cross; s
-    | None -> slow Kernel.Cross (fun () -> exact_cross2o u v)
-  end
-  else if not (Kernel.filtered ()) then exact_cross2o u v
-  else begin
-    let iv =
-      I.sub
-        (I.mul (Q.enclosure u.(0)) (Q.enclosure v.(1)))
-        (I.mul (Q.enclosure u.(1)) (Q.enclosure v.(0)))
-    in
-    match I.sign iv with
-    | Some s -> Kernel.hit Kernel.Cross; s
-    | None -> slow Kernel.Cross (fun () -> exact_cross2o u v)
-  end
-
 (* Pivot desirability for exact Gaussian elimination: fewer bits in the
    pivot means smaller intermediate growth. Deterministic and cheap;
    used by Linsys only to *choose* among exactly-nonzero candidates, so

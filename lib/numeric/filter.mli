@@ -22,9 +22,6 @@ val sign_cross2 : Q.t array -> Q.t array -> Q.t array -> int
 (** [sign_cross2 o a b] is [sign ((a - o) x (b - o))] in 2-d — the
     orientation of the triangle [o, a, b]. *)
 
-val sign_cross2o : Q.t array -> Q.t array -> int
-(** [sign_cross2o u v] is [sign (u x v)] in 2-d for origin-based edge
-    vectors (the Minkowski edge-merge angle test). *)
 
 val pivot_cost : Q.t -> int
 (** Bit-size of the rational ([num] plus [den]) — the pivot-selection

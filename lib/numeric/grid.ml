@@ -512,45 +512,6 @@ let dot_minus_sign a p b : int option =
     else residue_zero_dot ~bound a p b
   end
 
-(* sign(u0 v1 - u1 v0) for origin-based 2-d edge vectors. *)
-let cross2o_sign u v : int option =
-  let u0 = u.(0) and u1 = u.(1) and v0 = v.(0) and v1 = v.(1) in
-  let dw = den_width u0 + den_width u1 + den_width v0 + den_width v1 in
-  let w1 = width u0 + width v1 and w2 = width u1 + width v0 in
-  let bound = Stdlib.max w1 w2 + dw + 1 in
-  let all_int = dw = 0 in
-  let all_small =
-    B.is_small u0.Q.num && B.is_small u1.Q.num && B.is_small v0.Q.num
-    && B.is_small v1.Q.num
-  in
-  if all_int && all_small && bound <= int1_max_bits then
-    Some
-      (Stdlib.compare
-         ((B.to_int_exn u0.Q.num * B.to_int_exn v1.Q.num)
-          - (B.to_int_exn u1.Q.num * B.to_int_exn v0.Q.num))
-         0)
-  else if all_int && all_small && bound <= dword_max_bits then begin
-    let acc = acc_make () in
-    acc_add_prod acc 1 (B.to_int_exn u0.Q.num) (B.to_int_exn v1.Q.num);
-    acc_add_prod acc (-1) (B.to_int_exn u1.Q.num) (B.to_int_exn v0.Q.num);
-    Some (acc_sign acc)
-  end
-  else begin
-    match
-      xsign
-        (xsub (xmul (xiv_of_q u0) (xiv_of_q v1))
-           (xmul (xiv_of_q u1) (xiv_of_q v0)))
-    with
-    | Some s -> Some s
-    | None ->
-      residue_zero ~bound (fun i pr ->
-          let r q = (residues q (i + 1)).(i + 1) in
-          let ru0 = r u0 and ru1 = r u1 and rv0 = r v0 and rv1 = r v1 in
-          if ru0 = -1 || ru1 = -1 || rv0 = -1 || rv1 = -1 then -1
-          else
-            (mulmod ru0 rv1 pr - mulmod ru1 rv0 pr + pr) mod pr)
-  end
-
 (* sign((a - o) x (b - o)) — the 2-d orientation test. *)
 let cross2_sign o a b : int option =
   let o0 = o.(0) and o1 = o.(1) in

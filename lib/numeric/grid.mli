@@ -36,8 +36,6 @@ val dot_minus_sign : Q.t array -> Q.t array -> Q.t -> int option
 val cross2_sign : Q.t array -> Q.t array -> Q.t array -> int option
 (** [cross2_sign o a b] stages [sign ((a - o) x (b - o))]. *)
 
-val cross2o_sign : Q.t array -> Q.t array -> int option
-(** [cross2o_sign u v] stages [sign (u0*v1 - u1*v0)]. *)
 
 (** {1 Static width bounds}
 

@@ -229,6 +229,71 @@ let prop_schedulers =
        r.Executor.terminated && r.Executor.valid && r.Executor.agreement_ok
        && r.Executor.optimal)
 
+(* Golden d <= 2 transcripts: digests of the JSONL trace and of the
+   decided vertex lists, recorded before the round average became a
+   single k-way edge merge. Any change to the d <= 2 geometry that
+   alters a vertex, a vertex count or the schedule shows up here. *)
+let golden_cases =
+  [ ("n5-f1-d2", 5, 1, 2, 101, `Plain,
+      "c008c947d471d73354e71b2ed75da5dc",
+      "5757b0cf78148b2e96a5af2ed87175ae");
+    ("n6-f1-d2", 6, 1, 2, 102, `Plain,
+      "bd08a6db48c897d370845b27a66848e8",
+      "1073af131e13e88264c2981256db8b4b");
+    ("n7-f1-d2", 7, 1, 2, 103, `Plain,
+      "7605a2a02020d01ec4878fb3e966d4a9",
+      "c2135094cbdaada7ecfc1bb782d61a34");
+    ("n6-f1-d1", 6, 1, 1, 104, `Plain,
+      "958cb02d9716e9bec90a5749c40f26ac",
+      "1e5e06fc926e607aeba9bf117a0eb1da");
+    ("n6-f1-d2-recover", 6, 1, 2, 105, `Recover,
+      "bd62ef3f8804693aca40c5acf5d5fb90",
+      "c1d45ae08cb72969f0b100211d0e1dd9");
+    ("n5-f1-d2-naive", 5, 1, 2, 106, `Naive,
+      "0b91aff2234c25f0d071fa4d92590658",
+      "85abc3082d547aec75821d2f23c0bf20") ]
+
+let test_golden_transcripts () =
+  List.iter
+    (fun (name, n, f, d, seed, mode, want_trace, want_out) ->
+       let config = cfg ~n ~f ~d () in
+       let spec =
+         match mode with
+         | `Naive -> Executor.default_spec ~config ~seed ~round0:`Naive ()
+         | `Plain | `Recover -> Executor.default_spec ~config ~seed ()
+       in
+       let spec =
+         match mode with
+         | `Recover -> Chc.Cli.recoverize ~delay:6 ~keep:1 spec
+         | `Plain | `Naive -> spec
+       in
+       let trace = Obs.Trace.create () in
+       let r = Executor.run ~trace spec in
+       (match mode with
+        | `Naive ->
+          (* Naive round 0 is the optimality ablation: only Theorem 2
+             is owed. *)
+          Alcotest.(check bool) "termination" true r.Executor.terminated;
+          Alcotest.(check bool) "validity" true r.Executor.valid;
+          Alcotest.(check bool) "eps-agreement" true r.Executor.agreement_ok
+        | `Plain | `Recover -> check_report r);
+       if mode = `Recover then
+         Alcotest.(check bool) (name ^ ": a process recovered") true
+           (r.Executor.recovered <> []);
+       let outs =
+         Array.to_list r.Executor.result.Cc.outputs
+         |> List.map (function
+             | None -> "-"
+             | Some p -> Polytope.to_string p)
+         |> String.concat "\n"
+       in
+       let hex s = Digest.to_hex (Digest.string s) in
+       Alcotest.(check string) (name ^ ": trace digest") want_trace
+         (hex (Obs.Trace.to_jsonl trace));
+       Alcotest.(check string) (name ^ ": decisions digest") want_out
+         (hex outs))
+    golden_cases
+
 let suite =
   [ ( "algorithm_cc",
       [ Alcotest.test_case "basic 2d" `Quick test_basic_2d;
@@ -246,4 +311,6 @@ let suite =
           test_output_contains_iz_strictly_useful ]
       @ List.map Gen.qtest [ prop_sweep_2d; prop_sweep_1d; prop_schedulers ]
       @ [ Alcotest.test_case "round-1 senders' views bound Z" `Quick
-            test_iz_views_of_round1_senders ] ) ]
+            test_iz_views_of_round1_senders;
+          Alcotest.test_case "golden d<=2 transcripts" `Quick
+            test_golden_transcripts ] ) ]

@@ -104,11 +104,7 @@ let props =
     Gen.prop ~count:500 "cross2: filtered = exact" arb_cross
       (fun (o, a, b) ->
          filtered (fun () -> Filter.sign_cross2 o a b)
-         = exact (fun () -> Filter.sign_cross2 o a b));
-    Gen.prop ~count:500 "cross2o: filtered = exact" arb_cross
-      (fun (_, a, b) ->
-         filtered (fun () -> Filter.sign_cross2o a b)
-         = exact (fun () -> Filter.sign_cross2o a b)) ]
+         = exact (fun () -> Filter.sign_cross2 o a b)) ]
 
 (* Hand-picked degeneracies: the filter must take the exact fallback
    here and still answer correctly. *)

@@ -148,6 +148,14 @@ let props =
          let h = H.hull pts in
          let a = H.area2 h in
          Q.sign a >= 0 && (Q.is_zero a = (List.length h <= 2)));
+    Gen.prop "k-way weighted sum agrees with the pairwise hulls"
+      Gen.arb_sum_terms
+      (fun terms ->
+         let fast = H.weighted_sum terms in
+         let slow = Gen.pairwise_sum terms in
+         H.is_canonical fast
+         && List.length fast = List.length slow
+         && List.for_all2 Vec.equal fast slow);
   ]
 
 let suite =

@@ -76,6 +76,13 @@ let arb_poly dim =
        (fun pts -> P.of_points ~dim pts)
        (Gen.gen_points ~min_size:1 ~max_size:7 dim))
 
+(* Drawn weights rescaled to sum to 1 (all on the first operand when
+   every drawn weight is zero). *)
+let normalize ws =
+  let total = Q.sum ws in
+  if Q.is_zero total then List.mapi (fun i _ -> if i = 0 then Q.one else Q.zero) ws
+  else List.map (fun c -> Q.div c total) ws
+
 let props =
   [ Gen.prop "average of two copies is identity" (arb_poly 2)
       (fun p -> P.equal p (P.average [p; p]));
@@ -137,6 +144,34 @@ let props =
          let (alo, ahi) = bounds avg in
          Q.equal alo (Q.div (Q.add plo qlo) Q.two)
          && Q.equal ahi (Q.div (Q.add phi qhi) Q.two));
+    Gen.prop "2d linear combination agrees with the pairwise hulls"
+      Gen.arb_sum_terms
+      (fun terms ->
+         let terms =
+           List.combine (normalize (List.map fst terms)) (List.map snd terms)
+         in
+         let r =
+           P.linear_combination
+             (List.map (fun (c, p) -> (c, P.of_points ~dim:2 p)) terms)
+         in
+         Geometry.Hull2d.is_canonical (P.vertices r)
+         && P.equal r (P.of_points ~dim:2 (Gen.pairwise_sum terms)));
+    Gen.prop "1d linear combination is the weighted interval"
+      (QCheck.pair
+         (QCheck.list_of_size (QCheck.Gen.int_range 1 7) (arb_poly 1))
+         (QCheck.make (QCheck.Gen.list_repeat 7 Gen.gen_weight)))
+      (fun (polys, ws) ->
+         let ws = normalize (List.filteri (fun i _ -> i < List.length polys) ws) in
+         let r = P.linear_combination (List.combine ws polys) in
+         let ends pick =
+           Q.sum (List.map2 (fun c p -> Q.mul c (pick (P.bounding_box p).(0))) ws polys)
+         in
+         let lo = ends fst and hi = ends snd in
+         let want =
+           if Q.equal lo hi then [Vec.make [lo]] else [Vec.make [lo]; Vec.make [hi]]
+         in
+         List.length (P.vertices r) = List.length want
+         && List.for_all2 Vec.equal (P.vertices r) want);
   ]
 
 let suite =
